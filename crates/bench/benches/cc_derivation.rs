@@ -1,7 +1,8 @@
 //! Microbenchmark: conformance-constraint discovery cost.
 //!
 //! The paper quotes `O(n·m²)` for constraint production plus `O(q³)` for the
-//! projections (§III-A/B); this bench sweeps both axes to verify the shape.
+//! projections (§III-A/B); this bench sweeps both axes to verify the shape,
+//! then times the per-tuple violation check the learned sets serve.
 
 use cf_conformance::{learn_constraints, LearnOptions};
 use cf_linalg::Matrix;
@@ -46,5 +47,35 @@ fn bench_violation(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_by_rows, bench_by_attrs, bench_violation);
+/// The per-tuple check at the serving geometry (d = 16, so 16
+/// projections): `violation` and the monitor's `exceeds`, for a tuple
+/// inside every bound (a profiled row) and one outside (the same row
+/// pushed far off), since `exceeds` skips the weighted tail only for the
+/// former.
+fn bench_violation_d16(c: &mut Criterion) {
+    let x = random_matrix(2_000, 16, 4);
+    let cs = learn_constraints(&x, &LearnOptions::paper_default());
+    let inside = x.row(0).to_vec();
+    let outside: Vec<f64> = inside.iter().map(|v| v * 10.0 + 3.0).collect();
+    assert_eq!(cs.violation(&inside), 0.0);
+    assert!(cs.violation(&outside) > 0.5);
+    let mut group = c.benchmark_group("cc_derivation/d16");
+    for (name, probe) in [("in_bounds", &inside), ("out_of_bounds", &outside)] {
+        group.bench_with_input(BenchmarkId::new("violation", name), probe, |b, t| {
+            b.iter(|| cs.violation(black_box(t)));
+        });
+        group.bench_with_input(BenchmarkId::new("exceeds", name), probe, |b, t| {
+            b.iter(|| cs.exceeds(black_box(t), 1e-9));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_by_rows,
+    bench_by_attrs,
+    bench_violation,
+    bench_violation_d16
+);
 criterion_main!(benches);

@@ -32,8 +32,7 @@ impl Projection {
     /// bounds the tuple projects; 0 inside.
     #[inline]
     pub fn distance(&self, t: &[f64]) -> f64 {
-        let f = self.project(t);
-        (f - self.ub).max(self.lb - f).max(0.0)
+        self.distance_at(self.project(t))
     }
 
     /// `⟦ϕ⟧(t) = η(dist/σ)` with `η(x) = 1 − e^{−x}` — in `[0, 1)`
@@ -41,7 +40,22 @@ impl Projection {
     /// exponent underflows.
     #[inline]
     pub fn violation(&self, t: &[f64]) -> f64 {
-        let d = self.distance(t);
+        self.violation_at(self.project(t))
+    }
+
+    /// [`Projection::distance`] of a tuple whose projection `F(t)` is `f`.
+    /// A NaN `f` is at distance 0 (`f64::max` drops the NaN operands).
+    #[inline]
+    fn distance_at(&self, f: f64) -> f64 {
+        (f - self.ub).max(self.lb - f).max(0.0)
+    }
+
+    /// [`Projection::violation`] of a tuple whose projection `F(t)` is `f`
+    /// — the one formula the per-projection path and the packed
+    /// [`crate::ConstraintSet`] kernel share.
+    #[inline]
+    pub(crate) fn violation_at(&self, f: f64) -> f64 {
+        let d = self.distance_at(f);
         if d == 0.0 {
             return 0.0;
         }

@@ -2,29 +2,72 @@
 
 use crate::projection::Projection;
 
+/// Projections one kernel pass evaluates together: the pass keeps this
+/// many independent accumulators on the stack and streams the tuple once.
+const BLOCK: usize = 8;
+
 /// A conjunction `Φ = ϕ₁ ∧ … ∧ ϕᵣ` with quantitative violation semantics.
 ///
 /// Importance weights are normalised at construction so `Σ qᵢ = 1`, making
 /// the set violation `⟦Φ⟧(t) = Σ qᵢ·⟦ϕᵢ⟧(t)` a convex combination in `[0, 1]`
 /// (1 is reached only when every conjunct's violation saturates).
+///
+/// Every projection must have the same dimension `d`. Construction packs
+/// the projections into d-major blocks, so a violation check is one
+/// `O(r·d)` pass over the tuple with no allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstraintSet {
     projections: Vec<Projection>,
+    /// The kernel's copy of the projections, [`BLOCK`] at a time: per
+    /// block a row of lower bounds, a row of upper bounds, then `d` rows
+    /// of coefficients, row `k` holding coefficient `k` of each of the
+    /// block's projections. Padding lanes are all zero, so their sums
+    /// (±0 or NaN) never fall outside their `[0, 0]` bounds. Derived from
+    /// `projections`, never serialised.
+    packed: Vec<[f64; BLOCK]>,
 }
 
 impl ConstraintSet {
     /// Build a set, normalising the importance weights to sum to 1.
+    /// Non-positive (and NaN) weights become `+0.0`.
     ///
     /// # Panics
-    /// Panics if `projections` is empty or importances are all non-positive.
+    /// Panics if `projections` is empty, if importances are all
+    /// non-positive or sum to infinity, or if the projections differ in
+    /// dimension.
     pub fn new(mut projections: Vec<Projection>) -> Self {
         assert!(!projections.is_empty(), "a constraint set cannot be empty");
-        let total: f64 = projections.iter().map(|p| p.importance.max(0.0)).sum();
-        assert!(total > 0.0, "importance weights must have positive mass");
+        let positive = |q: f64| if q > 0.0 { q } else { 0.0 };
+        let total: f64 = projections.iter().map(|p| positive(p.importance)).sum();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "importance weights must have positive, finite mass"
+        );
         for p in &mut projections {
-            p.importance = p.importance.max(0.0) / total;
+            p.importance = positive(p.importance) / total;
         }
-        Self { projections }
+        Self::packed(projections).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Pack validated, normalised projections into the kernel's blocks.
+    fn packed(projections: Vec<Projection>) -> Result<Self, &'static str> {
+        let d = projections[0].coeffs.len();
+        if projections.iter().any(|p| p.coeffs.len() != d) {
+            return Err("every projection of a constraint set must have the same dimension");
+        }
+        let mut packed = vec![[0.0; BLOCK]; (d + 2) * projections.len().div_ceil(BLOCK)];
+        for (j, p) in projections.iter().enumerate() {
+            let (block, lane) = (&mut packed[(j / BLOCK) * (d + 2)..], j % BLOCK);
+            block[0][lane] = p.lb;
+            block[1][lane] = p.ub;
+            for (row, &c) in block[2..].iter_mut().zip(&p.coeffs) {
+                row[lane] = c;
+            }
+        }
+        Ok(Self {
+            projections,
+            packed,
+        })
     }
 
     /// The constraints in this set.
@@ -42,12 +85,56 @@ impl ConstraintSet {
         self.projections.is_empty()
     }
 
-    /// Quantitative violation `⟦Φ⟧(t) ∈ [0, 1]` (paper Eq. 1).
+    /// Quantitative violation `⟦Φ⟧(t) ∈ [0, 1]` (paper Eq. 1), in one
+    /// `O(r·d)` pass.
+    ///
+    /// Bit-identical to `Σᵢ qᵢ·ϕᵢ.violation(t)` summed i-ascending (what
+    /// `Iterator::sum` computes, from `-0.0`):
+    /// - Each `Fᵢ(t)` is still one k-ascending sum from `-0.0`, as in
+    ///   `vector::dot`; the kernel only runs eight of them side by
+    ///   side, as independent accumulators, so their add chains overlap.
+    /// - The weighted sum starts at `+0.0` and skips every block whose
+    ///   projections all sit inside their bounds, after one comparison
+    ///   per lane. A skipped term is `qᵢ·0.0 = +0.0`, as importances are
+    ///   finite and at least `+0.0`; every other term is `+0.0`, positive
+    ///   or NaN. So no partial sum of either is `-0.0` after the first
+    ///   term, and adding `+0.0` to such a sum leaves its bits unchanged.
+    ///
+    /// A tuple of the wrong width is truncated to the shorter of the two,
+    /// like `vector::dot`.
     pub fn violation(&self, t: &[f64]) -> f64 {
-        self.projections
-            .iter()
-            .map(|p| p.importance * p.violation(t))
-            .sum()
+        let rows = self.projections[0].coeffs.len() + 2;
+        let mut sum = 0.0;
+        for (block, ps) in self
+            .packed
+            .chunks_exact(rows)
+            .zip(self.projections.chunks(BLOCK))
+        {
+            let (bounds, coeffs) = block.split_at(2);
+            let mut acc = [-0.0f64; BLOCK];
+            for (row, &x) in coeffs.iter().zip(t) {
+                for (a, &c) in acc.iter_mut().zip(row) {
+                    *a += c * x;
+                }
+            }
+            // `f < lb || f > ub` is exactly `distance_at(f) != 0.0`; a
+            // NaN `f` is inside either way.
+            let outside = (acc.iter().zip(&bounds[0]).zip(&bounds[1]))
+                .fold(false, |out, ((&f, &lb), &ub)| out | (f < lb) | (f > ub));
+            if outside {
+                for (p, &f) in ps.iter().zip(&acc) {
+                    sum += p.importance * p.violation_at(f);
+                }
+            }
+        }
+        sum
+    }
+
+    /// `self.violation(t) > eps` — the per-tuple conformance check of a
+    /// stream monitor. Most served tuples sit inside every bound, and for
+    /// them this costs the projections and one comparison per projection.
+    pub fn exceeds(&self, t: &[f64], eps: f64) -> bool {
+        self.violation(t) > eps
     }
 
     /// Boolean semantics: `Φ(t) = 1` iff every conjunct holds.
@@ -112,15 +199,17 @@ impl serde::Deserialize for ConstraintSet {
         if projections.is_empty() {
             return Err(serde::Error::msg("a constraint set cannot be empty"));
         }
+        // The kernel's exactness rests on finite importances of at least
+        // +0.0 (see `ConstraintSet::violation`), which `new` guarantees.
         if projections
             .iter()
-            .any(|p| p.importance.is_nan() || p.importance < 0.0)
+            .any(|p| !(p.importance.is_finite() && p.importance.is_sign_positive()))
         {
             return Err(serde::Error::msg(
-                "constraint importances must be non-negative",
+                "constraint importances must be finite and non-negative",
             ));
         }
-        Ok(ConstraintSet { projections })
+        ConstraintSet::packed(projections).map_err(serde::Error::msg)
     }
 }
 

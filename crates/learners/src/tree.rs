@@ -446,6 +446,7 @@ impl FlatTree {
                     // SAFETY: after `s < depth` descent steps
                     // `*n < 2^(s+1) − 1 <= 2^depth − 1 == feature.len()`,
                     // and `value.len() == 2^(depth+1) − 1 > feature.len()`.
+                    debug_assert!(*n < feature.len() && feature.len() < value.len());
                     let f = unsafe { *feature.get_unchecked(*n) } as usize;
                     let v = unsafe { *value.get_unchecked(*n) };
                     // SAFETY: `f < min_width <= d` (padding slots keep
@@ -453,6 +454,7 @@ impl FlatTree {
                     // indices), and `base + j*d + f < (i + j + 1) * d <=
                     // out.len() * d == rows.len()` — both asserted by
                     // `accumulate_margins`.
+                    debug_assert!(f < d && base + j * d + f < rows.len());
                     let x = unsafe { *rows.get_unchecked(base + j * d + f) };
                     // The recursive walker's own `row[feature] < threshold`
                     // as a *boolean* (never rewritten to `>=`, which would
@@ -464,6 +466,7 @@ impl FlatTree {
             }
             for j in 0..CHAINS {
                 // SAFETY: `ns[j] < 2^(depth+1) − 1 == value.len()`.
+                debug_assert!(ns[j] < value.len());
                 out[i + j] += eta * unsafe { *value.get_unchecked(ns[j]) };
             }
             i += CHAINS;
@@ -491,6 +494,7 @@ impl FlatTree {
                 for (j, n) in ns.iter_mut().enumerate() {
                     // SAFETY: `*n` is `root` or a packed child index, both
                     // `< len` by the `flatten` invariant on `children`.
+                    debug_assert!(*n < feature.len() && *n < value.len() && *n < children.len());
                     let f = unsafe { *feature.get_unchecked(*n) } as usize;
                     let v = unsafe { *value.get_unchecked(*n) };
                     let c = unsafe { *children.get_unchecked(*n) };
@@ -498,12 +502,14 @@ impl FlatTree {
                     // caller), and `base + j*d + f < (i + j + 1) * d <=
                     // out.len() * d == rows.len()` (asserted entry-wise by
                     // `accumulate_margins`).
+                    debug_assert!(f < d && base + j * d + f < rows.len());
                     let x = unsafe { *rows.get_unchecked(base + j * d + f) };
                     *n = select_child(c, x < v);
                 }
             }
             for j in 0..CHAINS {
                 // SAFETY: `ns[j] < len` as above.
+                debug_assert!(ns[j] < value.len());
                 out[i + j] += eta * unsafe { *value.get_unchecked(ns[j]) };
             }
             i += CHAINS;

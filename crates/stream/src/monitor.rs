@@ -556,8 +556,7 @@ impl Monitor {
         let mut new_alerts = Vec::new();
         for (offset, (t, &decision)) in batch.iter().zip(decisions).enumerate() {
             let tuple = t.borrow();
-            let violated = self.violation_of(&tuple.features, tuple.group, decision)
-                > self.config.conformance_eps;
+            let violated = self.violates(&tuple.features, tuple.group, decision);
             self.window.push(
                 SlotMeta {
                     id: first_id + offset as u64,
@@ -1200,12 +1199,14 @@ impl Monitor {
         self.ids_issued
     }
 
-    /// The violation of a tuple's features against its (group,
-    /// **decision**) reference profile — the decision plane's conformance
-    /// check, computable before any ground truth arrives (the served
-    /// decision stands in for the label in picking the cell); 0 when the
-    /// cell had too few reference rows to profile.
-    fn violation_of(&self, features: &[f64], group: u8, decision: u8) -> f64 {
+    /// Whether a tuple's features violate its (group, **decision**)
+    /// reference profile by more than `conformance_eps` — the decision
+    /// plane's conformance check, computable before any ground truth
+    /// arrives (the served decision stands in for the label in picking
+    /// the cell). A cell with too few reference rows to profile reads as
+    /// violation 0.
+    fn violates(&self, features: &[f64], group: u8, decision: u8) -> bool {
+        let eps = self.config.conformance_eps;
         // An out-of-range cell reads as "no profile" here so the window's
         // push is what rejects it — with the typed `BadGroup`, not an
         // index panic.
@@ -1214,8 +1215,8 @@ impl Monitor {
             .get(group as usize)
             .and_then(|cell| cell[decision as usize].as_ref())
         {
-            Some(constraints) => constraints.violation(features),
-            None => 0.0,
+            Some(constraints) => constraints.exceeds(features, eps),
+            None => 0.0 > eps,
         }
     }
 }
