@@ -12,8 +12,9 @@
 //!    swap, run the forward pass, enqueue the `(tuples, decisions)` record
 //!    on a bounded queue, return the decisions. No monitoring work, no
 //!    locks around the model parameters — the scorer owns its predictor
-//!    outright and replacement models arrive through an atomically-swapped
-//!    single-slot mailbox (arc-swap-style; see `ModelSlot` in the source).
+//!    outright and replacement models arrive through a latest-wins
+//!    single-value mailbox (`Slot` in the source: a mutex the score path
+//!    only ever `try_lock`s, so pickup never blocks).
 //! 2. **Monitor thread** (single consumer): drains the queue in order,
 //!    folds each record into the window/detectors, appends alerts, runs
 //!    on-alert retrains, and publishes refreshed state — fairness
@@ -35,7 +36,8 @@
 //! counters tell operators which trade they are living with.
 
 use crate::engine::{
-    checkpoint_from_parts, validate_tuple, LabelFeedback, StreamConfig, StreamEngine, StreamTuple,
+    checkpoint_from_parts, validate_batch, validate_feedback, LabelFeedback, StreamConfig,
+    StreamEngine, StreamTuple,
 };
 use crate::monitor::{FairnessSnapshot, Monitor};
 use crate::repair::{RepairTier, RepairUpdate};
@@ -49,8 +51,8 @@ use cf_learners::LearnerKind;
 use cf_telemetry::{DropEvent, MetricsRegistry, MonitorRestartEvent, SharedSink, TelemetryEvent};
 use confair_core::Predictor;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 /// What the score path does when the monitor queue is full.
@@ -329,107 +331,46 @@ impl BoundedQueue {
     }
 }
 
-/// Arc-swap-style single-slot mailbox for replacement predictors: the
-/// monitor thread publishes with one atomic swap, the score path takes
-/// with one atomic swap — no locks on either side, and an unconsumed
-/// older model is simply superseded (latest wins).
-struct ModelSlot {
-    /// Owning pointer to a heap-allocated `Box<dyn Predictor>` (double
-    /// boxed so the atomic cell is a thin pointer), or null when empty.
-    ptr: AtomicPtr<Box<dyn Predictor>>,
-}
+/// Latest-wins single-value mailbox from the monitor thread to the score
+/// path: replacement predictors and repair-ladder publications. An
+/// unconsumed older value is simply superseded, which is safe because both
+/// carry *absolute* state (a whole model; a full threshold vector and
+/// projection, never deltas).
+struct Slot<T>(Mutex<Option<T>>);
 
-impl ModelSlot {
+impl<T> Slot<T> {
     fn empty() -> Self {
-        ModelSlot {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
+        Slot(Mutex::new(None))
+    }
+
+    /// The slot's contents. A panicked holder cannot leave an `Option`
+    /// half-written, so a poisoned lock is recovered as-is.
+    fn lock(&self) -> MutexGuard<'_, Option<T>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publish a value, superseding any unconsumed predecessor.
+    fn publish(&self, value: T) {
+        let superseded = self.lock().replace(value);
+        // Dropped here, after the guard: freeing a model never holds up
+        // the score path's pickup.
+        drop(superseded);
+    }
+
+    /// Take the pending value without blocking (score path). If the
+    /// monitor holds the lock right now, pickup waits for the next batch.
+    fn try_take(&self) -> Option<T> {
+        match self.0.try_lock() {
+            Ok(mut value) => value.take(),
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner().take(),
+            Err(TryLockError::WouldBlock) => None,
         }
     }
 
-    /// Publish a replacement model, dropping any unconsumed predecessor.
-    fn publish(&self, model: Box<dyn Predictor>) {
-        let raw = Box::into_raw(Box::new(model));
-        let old = self.ptr.swap(raw, Ordering::AcqRel);
-        if !old.is_null() {
-            // SAFETY: `old` came from `Box::into_raw` in a previous
-            // `publish` and the swap above made this thread its only
-            // owner.
-            drop(unsafe { Box::from_raw(old) });
-        }
-    }
-
-    /// Take the pending model, if any (score path; wait-free).
-    fn take(&self) -> Option<Box<dyn Predictor>> {
-        let raw = self.ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if raw.is_null() {
-            None
-        } else {
-            // SAFETY: `raw` came from `Box::into_raw` in `publish` and the
-            // swap above made this thread its only owner.
-            Some(*unsafe { Box::from_raw(raw) })
-        }
-    }
-}
-
-impl Drop for ModelSlot {
-    fn drop(&mut self) {
-        let raw = *self.ptr.get_mut();
-        if !raw.is_null() {
-            // SAFETY: exclusive access in `drop`; the pointer was produced
-            // by `Box::into_raw` and never freed (it is still in the slot).
-            drop(unsafe { Box::from_raw(raw) });
-        }
-    }
-}
-
-/// The same latest-wins mailbox, for repair-ladder publications. Safe to
-/// collapse intermediate updates because a [`RepairUpdate`] carries
-/// *absolute* state (full threshold vector, full projection profiles),
-/// never deltas.
-struct RepairSlot {
-    ptr: AtomicPtr<RepairUpdate>,
-}
-
-impl RepairSlot {
-    fn empty() -> Self {
-        RepairSlot {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-
-    /// Publish a repair-state update, dropping any unconsumed predecessor.
-    fn publish(&self, update: RepairUpdate) {
-        let raw = Box::into_raw(Box::new(update));
-        let old = self.ptr.swap(raw, Ordering::AcqRel);
-        if !old.is_null() {
-            // SAFETY: `old` came from `Box::into_raw` in a previous
-            // `publish` and the swap above made this thread its only
-            // owner.
-            drop(unsafe { Box::from_raw(old) });
-        }
-    }
-
-    /// Take the pending update, if any (score path; wait-free).
-    fn take(&self) -> Option<RepairUpdate> {
-        let raw = self.ptr.swap(std::ptr::null_mut(), Ordering::AcqRel);
-        if raw.is_null() {
-            None
-        } else {
-            // SAFETY: `raw` came from `Box::into_raw` in `publish` and the
-            // swap above made this thread its only owner.
-            Some(*unsafe { Box::from_raw(raw) })
-        }
-    }
-}
-
-impl Drop for RepairSlot {
-    fn drop(&mut self) {
-        let raw = *self.ptr.get_mut();
-        if !raw.is_null() {
-            // SAFETY: exclusive access in `drop`; the pointer was produced
-            // by `Box::into_raw` and never freed (it is still in the slot).
-            drop(unsafe { Box::from_raw(raw) });
-        }
+    /// Take the pending value, waiting out a concurrent publish (`flush`,
+    /// where the pickup must not be missed).
+    fn take(&self) -> Option<T> {
+        self.lock().take()
     }
 }
 
@@ -515,8 +456,8 @@ struct Supervision {
 /// Everything the two sides share.
 struct Shared {
     queue: BoundedQueue,
-    model: ModelSlot,
-    repair: RepairSlot,
+    model: Slot<Box<dyn Predictor>>,
+    repair: Slot<RepairUpdate>,
     stats: Mutex<PublishedState>,
     sup: Mutex<Supervision>,
     /// Records between recovery-clone refreshes on the monitor thread.
@@ -620,8 +561,8 @@ impl AsyncEngine {
         let scored = monitor.ids_issued();
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(async_config.queue_depth),
-            model: ModelSlot::empty(),
-            repair: RepairSlot::empty(),
+            model: Slot::empty(),
+            repair: Slot::empty(),
             stats: Mutex::new(PublishedState {
                 snapshot: monitor.snapshot(),
                 counts: monitor.window_counts().to_vec(),
@@ -777,22 +718,13 @@ impl AsyncEngine {
     /// during the restart window are accounted as a monitoring gap
     /// ([`AsyncEngine::monitor_gap_tuples`]).
     pub fn ingest(&mut self, batch: &[StreamTuple]) -> Result<Vec<u8>> {
-        let d = self.scorer().schema().len();
-        let groups = self.stream_config.groups;
-        for (i, t) in batch.iter().enumerate() {
-            validate_tuple(t, d, i, groups)?;
-        }
-        self.ingest_prevalidated_owned(batch.to_vec())
+        self.ingest_owned(batch.to_vec())
     }
 
     /// [`AsyncEngine::ingest`] without the queue-bound copy: the batch is
     /// moved onto the queue after scoring.
     pub fn ingest_owned(&mut self, batch: Vec<StreamTuple>) -> Result<Vec<u8>> {
-        let d = self.scorer().schema().len();
-        let groups = self.stream_config.groups;
-        for (i, t) in batch.iter().enumerate() {
-            validate_tuple(t, d, i, groups)?;
-        }
+        validate_batch(&batch, self.scorer().schema(), &self.stream_config)?;
         self.ingest_prevalidated_owned(batch)
     }
 
@@ -801,16 +733,7 @@ impl AsyncEngine {
     pub(crate) fn ingest_prevalidated_owned(&mut self, batch: Vec<StreamTuple>) -> Result<Vec<u8>> {
         self.supervise(false)?;
         let started = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        // Pick up a pending retrain before scoring: one wait-free atomic
-        // swap, no lock around the model parameters. Repair-ladder
-        // publications (threshold nudges, projection installs) arrive the
-        // same way.
-        if let Some(model) = self.shared.model.take() {
-            self.scorer_mut().install(model);
-        }
-        if let Some(update) = self.shared.repair.take() {
-            self.scorer_mut().apply_repair(update);
-        }
+        self.install_published(false);
         let decisions = self.scorer_mut().score(&batch)?;
         if batch.is_empty() {
             // Nothing to monitor; the sync engine's empty ingest is a
@@ -845,10 +768,7 @@ impl AsyncEngine {
         }
         self.scored += n;
         if let (Some(m), Some(started)) = (&self.metrics, started) {
-            m.ingest_latency_us
-                .observe(started.elapsed().as_micros() as f64);
-            m.ingest_batches.inc();
-            m.ingest_tuples.add(n);
+            m.record_ingest(started.elapsed(), n);
         }
         self.refresh_serving_metrics();
         Ok(decisions)
@@ -874,15 +794,7 @@ impl AsyncEngine {
     pub fn feedback(&mut self, feedback: &[LabelFeedback]) -> Result<()> {
         self.supervise(false)?;
         for record in feedback {
-            if record.label >= 2 {
-                return Err(StreamError::BadLabel(record.label));
-            }
-            if record.id >= self.scored {
-                return Err(StreamError::FutureFeedback {
-                    id: record.id,
-                    issued: self.scored,
-                });
-            }
+            validate_feedback(record, self.scored)?;
         }
         if feedback.is_empty() {
             return Ok(());
@@ -916,14 +828,29 @@ impl AsyncEngine {
                 break;
             }
         }
-        if let Some(model) = self.shared.model.take() {
-            self.scorer_mut().install(model);
-        }
-        if let Some(update) = self.shared.repair.take() {
-            self.scorer_mut().apply_repair(update);
-        }
+        self.install_published(true);
         self.refresh_serving_metrics();
         Ok(())
+    }
+
+    /// Install the latest retrained model and repair-ladder publication
+    /// (threshold nudges, projection installs) the monitor has published.
+    /// The score path passes `wait = false` and never blocks: no lock is
+    /// held around the model parameters while scoring, and a slot the
+    /// monitor is publishing into right now is picked up on the next
+    /// batch. `flush` waits, so nothing published before it is missed.
+    fn install_published(&mut self, wait: bool) {
+        let (model, update) = if wait {
+            (self.shared.model.take(), self.shared.repair.take())
+        } else {
+            (self.shared.model.try_take(), self.shared.repair.try_take())
+        };
+        if let Some(model) = model {
+            self.scorer_mut().install(model);
+        }
+        if let Some(update) = update {
+            self.scorer_mut().apply_repair(update);
+        }
     }
 
     /// Wait for the monitor thread's reply to a control message, bailing
@@ -1498,17 +1425,63 @@ mod tests {
                 Ok(vec![self.0; x.rows()])
             }
         }
-        let slot = ModelSlot::empty();
-        assert!(slot.take().is_none());
+        let slot: Slot<Box<dyn Predictor>> = Slot::empty();
+        assert!(slot.try_take().is_none());
         slot.publish(Box::new(Dummy(1)));
         slot.publish(Box::new(Dummy(2)));
-        let taken = slot.take().expect("a model is pending");
+        let taken = slot.try_take().expect("a model is pending");
         let x = cf_linalg::Matrix::zeros(1, 1);
         assert_eq!(taken.predict_rows(&x).unwrap(), vec![2], "latest wins");
         assert!(slot.take().is_none(), "take empties the slot");
-        // Leave one unconsumed for Drop to free (checked by miri-less
-        // best effort: no double free / leak under normal test run).
+        // Leave one unconsumed for the slot's own drop to free.
         slot.publish(Box::new(Dummy(3)));
+    }
+
+    #[test]
+    fn slot_drops_superseded_and_pending_values_exactly_once() {
+        let first = Arc::new(());
+        let second = Arc::new(());
+        let slot = Slot::empty();
+        slot.publish(Arc::clone(&first));
+        assert_eq!(Arc::strong_count(&first), 2);
+        slot.publish(Arc::clone(&second));
+        assert_eq!(Arc::strong_count(&first), 1, "superseded value dropped");
+        assert_eq!(Arc::strong_count(&second), 2);
+        drop(slot);
+        assert_eq!(
+            Arc::strong_count(&second),
+            1,
+            "pending value dropped with the slot"
+        );
+    }
+
+    #[test]
+    fn slot_pickup_skips_a_held_lock_and_survives_poison() {
+        let slot = Arc::new(Slot::empty());
+        slot.publish(7u8);
+        {
+            let _held = slot.lock();
+            assert_eq!(slot.try_take(), None, "the score path never blocks");
+        }
+        assert_eq!(slot.try_take(), Some(7), "picked up on the next batch");
+
+        slot.publish(8);
+        let poisoner = Arc::clone(&slot);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.lock();
+            panic!("poison the slot");
+        })
+        .join();
+        assert_eq!(slot.try_take(), Some(8));
+        slot.publish(9);
+        assert_eq!(slot.take(), Some(9));
+    }
+
+    #[test]
+    fn model_slot_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Slot<Box<dyn Predictor>>>();
+        assert_send_sync::<Slot<RepairUpdate>>();
     }
 
     #[test]

@@ -318,9 +318,7 @@ impl StreamEngine {
     /// Both halves share the handles, so they survive an
     /// [`StreamEngine::into_parts`] split and the async wrap.
     pub fn install_metrics(&mut self, registry: &MetricsRegistry) {
-        let metrics = StreamMetrics::register(registry);
-        self.monitor.set_metrics(metrics.clone());
-        self.metrics = Some(metrics);
+        self.set_metrics(StreamMetrics::register(registry));
     }
 
     /// Install pre-registered metrics handles (the sharded router's path,
@@ -384,39 +382,16 @@ impl StreamEngine {
     /// [`IngestOutcome::retrain_error`] — failing the call would discard
     /// the served decisions and invite a double-counting retry.
     pub fn ingest(&mut self, batch: &[StreamTuple]) -> Result<IngestOutcome> {
-        let d = self.monitor.schema().len();
-        let groups = self.monitor.config().groups;
-        for (i, t) in batch.iter().enumerate() {
-            validate_tuple(t, d, i, groups)?;
-        }
-        self.ingest_prevalidated(batch)
-    }
-
-    /// The sharded router's entry point: it has already validated the
-    /// whole mixed batch (for whole-batch rejection semantics), so the
-    /// per-shard ingest must not re-scan every tuple.
-    pub(crate) fn ingest_refs_prevalidated(
-        &mut self,
-        batch: &[&StreamTuple],
-    ) -> Result<IngestOutcome> {
-        self.ingest_prevalidated(batch)
-    }
-
-    /// The sharded router's single-shard fast path: a one-shard fleet's
-    /// routed batch already *is* this engine's batch in arrival order, so
-    /// it ingests straight off the `ShardedTuple` slice (via its
-    /// `Borrow<StreamTuple>` view) with no per-tuple gather at all.
-    pub(crate) fn ingest_routed_prevalidated(
-        &mut self,
-        batch: &[crate::sharded::ShardedTuple],
-    ) -> Result<IngestOutcome> {
+        validate_batch(batch, self.monitor.schema(), self.monitor.config())?;
         self.ingest_prevalidated(batch)
     }
 
     /// Ingestion after validation: callers guarantee every tuple matches
     /// the schema width and has an in-range group (`< K`) and binary
-    /// label.
-    fn ingest_prevalidated<T: Borrow<StreamTuple>>(
+    /// label. The sharded router, which validates whole mixed batches
+    /// itself, feeds its per-shard segments (or, for one shard, its routed
+    /// batch through `ShardedTuple`'s `Borrow<StreamTuple>` view) here.
+    pub(crate) fn ingest_prevalidated<T: Borrow<StreamTuple>>(
         &mut self,
         batch: &[T],
     ) -> Result<IngestOutcome> {
@@ -438,10 +413,7 @@ impl StreamEngine {
             self.scorer.apply_repair(update);
         }
         if let (Some(m), Some(started)) = (&self.metrics, started) {
-            m.ingest_latency_us
-                .observe(started.elapsed().as_secs_f64() * 1e6);
-            m.ingest_batches.inc();
-            m.ingest_tuples.add(batch.len() as u64);
+            m.record_ingest(started.elapsed(), batch.len() as u64);
         }
         Ok(IngestOutcome {
             first_id: outcome.first_id,
@@ -466,15 +438,7 @@ impl StreamEngine {
     pub fn feedback(&mut self, feedback: &[LabelFeedback]) -> Result<crate::FeedbackOutcome> {
         let issued = self.monitor.ids_issued();
         for record in feedback {
-            if record.label >= 2 {
-                return Err(StreamError::BadLabel(record.label));
-            }
-            if record.id >= issued {
-                return Err(StreamError::FutureFeedback {
-                    id: record.id,
-                    issued,
-                });
-            }
+            validate_feedback(record, issued)?;
         }
         self.monitor.feedback(feedback)
     }
@@ -778,6 +742,19 @@ pub(crate) fn checkpoint_from_parts(
     })
 }
 
+/// Validate a whole batch against the engine's schema and cell count,
+/// before any of it is ingested.
+pub(crate) fn validate_batch(
+    batch: &[StreamTuple],
+    schema: &[String],
+    config: &StreamConfig,
+) -> Result<()> {
+    for (i, tuple) in batch.iter().enumerate() {
+        validate_tuple(tuple, schema.len(), i, config.groups)?;
+    }
+    Ok(())
+}
+
 /// Validate one tuple against a schema of width `d` (`i` is the tuple's
 /// batch index, used only in the error message). Shared by the
 /// single-engine, sharded-router, and async ingestion paths so the checks
@@ -796,6 +773,22 @@ pub(crate) fn validate_tuple(tuple: &StreamTuple, d: usize, i: usize, groups: us
         if label >= 2 {
             return Err(StreamError::BadLabel(label));
         }
+    }
+    Ok(())
+}
+
+/// Validate one feedback record against an engine whose id clock has
+/// issued `issued` ids. The one copy of the check every engine and router
+/// runs before anything joins.
+pub(crate) fn validate_feedback(record: &LabelFeedback, issued: u64) -> Result<()> {
+    if record.label >= 2 {
+        return Err(StreamError::BadLabel(record.label));
+    }
+    if record.id >= issued {
+        return Err(StreamError::FutureFeedback {
+            id: record.id,
+            issued,
+        });
     }
     Ok(())
 }

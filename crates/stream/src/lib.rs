@@ -18,7 +18,7 @@
 //! [`async_engine::AsyncEngine`] composes them as a pipeline — `ingest`
 //! returns decisions straight off the forward pass while a background
 //! thread drains a bounded queue into the monitor and publishes retrained
-//! models back through an atomically-swapped slot.
+//! models back through a latest-wins slot.
 //!
 //! Ground truth is **optional and deferrable**: tuples may arrive
 //! unlabeled, the decision-plane monitors (selection rates, DI/DP,
@@ -43,8 +43,8 @@
 //! * a retraining hook ([`engine::RetrainPolicy::OnAlert`]) that re-runs
 //!   ConFair on the window's contents and re-profiles the stream's new
 //!   normal;
-//! * [`sharded::ShardedEngine`] — a router over N independent per-shard
-//!   engines with parallel ingest and exact cross-shard aggregate
+//! * [`sharded::ShardedEngine`] — a partition-and-merge router over N
+//!   independent per-shard engines with exact cross-shard aggregate
 //!   snapshots, the path from one stream to partitioned production
 //!   traffic;
 //! * [`checkpoint::EngineCheckpoint`] — versioned, durable
@@ -55,6 +55,7 @@
 //! for the end-to-end scenarios and `crates/bench/benches/stream_ingest.rs`
 //! for the throughput benchmark.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod async_engine;

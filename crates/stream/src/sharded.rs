@@ -1,28 +1,36 @@
-//! Sharded multi-stream serving: a router over independent per-shard
-//! [`StreamEngine`]s.
+//! Sharded multi-stream serving: a partition-and-merge router over
+//! independent per-shard engines.
 //!
 //! Production traffic is naturally partitioned — by region, product line,
 //! tenant — and each partition drifts on its own schedule. [`ShardedEngine`]
 //! keys a [`StreamEngine`] per shard id, routes each arriving tuple to its
-//! shard, ingests the per-shard micro-batches in parallel (scoped threads
-//! via the `rayon` facade), and reads a **cross-shard aggregate**
-//! [`FairnessSnapshot`] by merging the additive window counters — exact, not
-//! approximate, because every counter is a sum.
+//! shard, ingests the per-shard micro-batches one after another in shard
+//! order, and reads a **cross-shard aggregate** [`FairnessSnapshot`] by
+//! merging the additive window counters — exact, not approximate, because
+//! every counter is a sum. [`ShardedAsyncEngine`] runs the same router over
+//! [`AsyncEngine`]s; its per-shard monitor threads are the only parallelism
+//! in sharding.
 //!
-//! Per-shard state (model, conformance profiles, Page–Hinkley detectors,
-//! window, alert log) stays fully independent: a shard's drift alert or
-//! retrain never perturbs its neighbours, and per-shard results are
-//! byte-identical to running that shard's engine standalone (pinned by the
+//! Sharding is a semantic feature, not a speed feature: per-shard
+//! monitoring catches drift that is local to one partition. Per-shard
+//! state (model, conformance profiles, Page–Hinkley detectors, window,
+//! alert log) stays fully independent: a shard's drift alert or retrain
+//! never perturbs its neighbours, and per-shard results are byte-identical
+//! to running that shard's engine standalone (pinned by the
 //! `sharded_consistency` integration test).
 
 use crate::async_engine::{AsyncConfig, AsyncEngine, DropCounters};
 use crate::checkpoint::ShardedCheckpoint;
-use crate::engine::{IngestOutcome, LabelFeedback, StreamEngine, StreamTuple};
+use crate::engine::{
+    validate_feedback, validate_tuple, IngestOutcome, LabelFeedback, StreamConfig, StreamEngine,
+    StreamTuple,
+};
 use crate::monitor::{FairnessSnapshot, FeedbackOutcome};
 use crate::telemetry::StreamMetrics;
 use crate::window::GroupCounts;
 use crate::{Result, StreamError};
 use cf_telemetry::{MetricsRegistry, SharedSink};
+use std::borrow::Borrow;
 
 /// One observation addressed to a shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,18 +44,18 @@ pub struct ShardedTuple {
 // A routed tuple borrows as the observation it carries, so a single-shard
 // router can feed its batch to the shard engine's generic ingest directly
 // — no per-tuple gather into a `&StreamTuple` side array.
-impl std::borrow::Borrow<StreamTuple> for ShardedTuple {
+impl Borrow<StreamTuple> for ShardedTuple {
     fn borrow(&self) -> &StreamTuple {
         &self.tuple
     }
 }
 
-/// Recycled validate-once-scatter-once routing scratch. One counting pass
-/// over the batch builds a per-shard histogram (validation folded in), a
-/// prefix sum turns it into segment offsets, and a second pass scatters
-/// each tuple's *index* into its shard's segment of `order` — so routing a
-/// mixed batch costs two linear passes and zero per-tuple allocations, and
-/// the buffers are reused across batches instead of reallocated.
+/// Recycled scatter-once routing scratch. One counting pass over the
+/// (validated) batch builds a per-shard histogram, a prefix sum turns it
+/// into segment offsets, and a second pass scatters each tuple's *index*
+/// into its shard's segment of `order` — so routing a mixed batch costs
+/// two linear passes and zero per-tuple allocations, and the buffers are
+/// reused across batches instead of reallocated.
 #[derive(Debug, Default)]
 struct RouteScratch {
     /// Per-shard histogram during counting; per-shard write cursors during
@@ -61,13 +69,13 @@ struct RouteScratch {
 }
 
 impl RouteScratch {
-    /// Run the counting + scatter passes for `batch`. `shard_of` has
+    /// Run the counting + scatter passes for `batch`, whose shard ids have
     /// already been validated to be in `0..n`.
-    fn route(&mut self, n: usize, shards_of: impl Iterator<Item = u32> + Clone, len: usize) {
+    fn route(&mut self, n: usize, batch: &[ShardedTuple]) {
         self.cursors.clear();
         self.cursors.resize(n, 0);
-        for shard in shards_of.clone() {
-            self.cursors[shard as usize] += 1;
+        for routed in batch {
+            self.cursors[routed.shard as usize] += 1;
         }
         self.offsets.clear();
         self.offsets.reserve(n + 1);
@@ -82,9 +90,9 @@ impl RouteScratch {
         }
         self.offsets.push(acc);
         self.order.clear();
-        self.order.resize(len, 0);
-        for (i, shard) in shards_of.enumerate() {
-            let cursor = &mut self.cursors[shard as usize];
+        self.order.resize(batch.len(), 0);
+        for (i, routed) in batch.iter().enumerate() {
+            let cursor = &mut self.cursors[routed.shard as usize];
             self.order[*cursor as usize] = i as u32;
             *cursor += 1;
         }
@@ -94,6 +102,110 @@ impl RouteScratch {
     fn segment(&self, s: usize) -> &[u32] {
         &self.order[self.offsets[s] as usize..self.offsets[s + 1] as usize]
     }
+}
+
+// The router core both sharded engines share. Routing is serial: shards
+// ingest their segments one after another in shard order, so the two
+// routers differ only in what a shard does with its segment.
+
+/// `shard` as an index, or [`StreamError::BadShard`] when out of range.
+fn check_shard(shard: u32, shards: usize) -> Result<usize> {
+    if (shard as usize) < shards {
+        Ok(shard as usize)
+    } else {
+        Err(StreamError::BadShard { shard, shards })
+    }
+}
+
+/// Whole-batch validation (shard range, then the per-tuple checks every
+/// engine runs), before any shard ingests: an error rejects the batch with
+/// no shard advanced.
+fn validate_routed(
+    batch: &[ShardedTuple],
+    shards: usize,
+    schema: &[String],
+    config: &StreamConfig,
+) -> Result<()> {
+    for (i, routed) in batch.iter().enumerate() {
+        check_shard(routed.shard, shards)?;
+        validate_tuple(&routed.tuple, schema.len(), i, config.groups)?;
+    }
+    Ok(())
+}
+
+/// Drive every result in order, then return all values or the first
+/// error: shards are independent, so one failing shard must not stop its
+/// neighbours.
+fn all_or_first_error<T>(results: impl Iterator<Item = Result<T>>) -> Result<Vec<T>> {
+    results.collect::<Vec<_>>().into_iter().collect()
+}
+
+/// Route a validated batch, run `ingest` on every shard's segment (batch
+/// indices, arrival order) in shard order, and scatter each shard's
+/// decisions back to input order.
+fn dispatch<E, O>(
+    shards: &mut [E],
+    route: &mut RouteScratch,
+    batch: &[ShardedTuple],
+    mut ingest: impl FnMut(&mut E, &[u32]) -> Result<O>,
+    decisions_of: impl Fn(&O) -> &[u8],
+) -> Result<(Vec<u8>, Vec<O>)> {
+    route.route(shards.len(), batch);
+    let outcomes = all_or_first_error(
+        shards
+            .iter_mut()
+            .enumerate()
+            .map(|(shard, engine)| ingest(engine, route.segment(shard))),
+    )?;
+    let mut decisions = vec![0u8; batch.len()];
+    for (shard, outcome) in outcomes.iter().enumerate() {
+        for (&original, &decision) in route.segment(shard).iter().zip(decisions_of(outcome)) {
+            decisions[original as usize] = decision;
+        }
+    }
+    Ok((decisions, outcomes))
+}
+
+/// Validate a feedback batch against each shard's id clock and split it
+/// per shard, arrival order kept. Nothing is returned, so nothing joins
+/// anywhere, unless the whole batch is valid.
+fn split_feedback<E>(
+    shards: &[E],
+    issued: fn(&E) -> u64,
+    feedback: &[ShardedFeedback],
+) -> Result<Vec<Vec<LabelFeedback>>> {
+    let mut per_shard = vec![Vec::new(); shards.len()];
+    for routed in feedback {
+        let shard = check_shard(routed.shard, shards.len())?;
+        validate_feedback(&routed.feedback, issued(&shards[shard]))?;
+        per_shard[shard].push(routed.feedback);
+    }
+    Ok(per_shard)
+}
+
+/// Assemble a fleet checkpoint from every shard's, in shard order.
+fn fleet_checkpoint(
+    shards: impl Iterator<Item = Result<crate::EngineCheckpoint>>,
+) -> Result<ShardedCheckpoint> {
+    Ok(ShardedCheckpoint {
+        version: crate::checkpoint::CHECKPOINT_VERSION,
+        shards: shards.collect::<Result<Vec<_>>>()?,
+    })
+}
+
+/// Merge per-shard window counters cell by cell. Exact: every windowed
+/// counter is additive, so the merge is a componentwise sum.
+fn merge_counts<C: Borrow<[GroupCounts]>>(
+    groups: usize,
+    per_shard: impl Iterator<Item = C>,
+) -> Vec<GroupCounts> {
+    let mut merged = vec![GroupCounts::default(); groups];
+    for counts in per_shard {
+        for (cell, counts) in merged.iter_mut().zip(counts.borrow()) {
+            cell.merge(counts);
+        }
+    }
+    merged
 }
 
 /// One late ground-truth record addressed to the shard that served its
@@ -130,13 +242,8 @@ impl ShardedOutcome {
     }
 }
 
-/// Largest per-shard batch that still ingests serially: below this, the
-/// scoring work (≈40 ns/tuple) is cheaper than spawning and joining a
-/// scoped OS thread, so parallel dispatch would only add latency.
-const MIN_PARALLEL_SHARD_BATCH: usize = 512;
-
-/// A router over N independent per-shard [`StreamEngine`]s with parallel
-/// ingest and exact cross-shard aggregate snapshots.
+/// A router over N independent per-shard [`StreamEngine`]s with exact
+/// cross-shard aggregate snapshots.
 pub struct ShardedEngine {
     shards: Vec<StreamEngine>,
     route: RouteScratch,
@@ -157,7 +264,7 @@ impl ShardedEngine {
         reference: &cf_data::Dataset,
         learner: cf_learners::LearnerKind,
         seed: u64,
-        config: crate::engine::StreamConfig,
+        config: StreamConfig,
         n_shards: usize,
     ) -> Result<Self> {
         if n_shards == 0 {
@@ -227,12 +334,7 @@ impl ShardedEngine {
 
     /// Borrow one shard's engine (per-shard telemetry, alert logs, audits).
     pub fn shard(&self, shard: u32) -> Result<&StreamEngine> {
-        self.shards
-            .get(shard as usize)
-            .ok_or(StreamError::BadShard {
-                shard,
-                shards: self.shards.len(),
-            })
+        Ok(&self.shards[check_shard(shard, self.shards.len())?])
     }
 
     /// Install a telemetry sink on one shard's engine. Shards keep
@@ -243,11 +345,8 @@ impl ShardedEngine {
     /// # Errors
     /// [`StreamError::BadShard`] for an out-of-range shard id.
     pub fn set_sink(&mut self, shard: u32, sink: SharedSink) -> Result<()> {
-        let shards = self.shards.len();
-        self.shards
-            .get_mut(shard as usize)
-            .ok_or(StreamError::BadShard { shard, shards })?
-            .set_sink(sink);
+        let shard = check_shard(shard, self.shards.len())?;
+        self.shards[shard].set_sink(sink);
         Ok(())
     }
 
@@ -268,13 +367,10 @@ impl ShardedEngine {
     /// counter is additive, so the merge is a componentwise sum
     /// (`from_engines` pinned every shard to the same cell layout).
     pub fn merged_counts(&self) -> Vec<GroupCounts> {
-        let mut merged = vec![GroupCounts::default(); self.shards[0].config().groups];
-        for engine in &self.shards {
-            for (cell, counts) in merged.iter_mut().zip(engine.window_counts()) {
-                cell.merge(counts);
-            }
-        }
-        merged
+        merge_counts(
+            self.shards[0].config().groups,
+            self.shards.iter().map(StreamEngine::window_counts),
+        )
     }
 
     /// The cross-shard aggregate fairness reading — the fleet-wide DI*,
@@ -295,14 +391,7 @@ impl ShardedEngine {
     /// [`StreamError::Checkpoint`] when any shard's predictor does not
     /// support serialisation.
     pub fn checkpoint(&self) -> Result<ShardedCheckpoint> {
-        Ok(ShardedCheckpoint {
-            version: crate::checkpoint::CHECKPOINT_VERSION,
-            shards: self
-                .shards
-                .iter()
-                .map(StreamEngine::checkpoint)
-                .collect::<Result<Vec<_>>>()?,
-        })
+        fleet_checkpoint(self.shards.iter().map(StreamEngine::checkpoint))
     }
 
     /// Rebuild a fleet from a sharded checkpoint. Each shard restores
@@ -332,36 +421,26 @@ impl ShardedEngine {
         )
     }
 
-    /// Route, score, and monitor one mixed-shard micro-batch. Per-shard
-    /// batches are ingested in parallel on scoped threads; tuples keep
-    /// their arrival order within each shard, and the returned decisions
-    /// are scattered back to the input order.
+    /// Route, score, and monitor one mixed-shard micro-batch. Shards
+    /// ingest their sub-batches one after another in shard order; tuples
+    /// keep their arrival order within each shard, and the returned
+    /// decisions are scattered back to the input order.
     ///
     /// # Errors
     /// The whole batch is validated (shard ids, schema, groups, labels)
     /// before any shard ingests, so a validation error rejects the batch
-    /// without advancing any engine. A per-shard scoring failure after
-    /// validation surfaces as the first shard's error in shard order.
+    /// without advancing any engine. After validation every shard still
+    /// ingests its sub-batch, and a per-shard scoring failure surfaces as
+    /// the first shard's error in shard order.
     pub fn ingest(&mut self, batch: &[ShardedTuple]) -> Result<ShardedOutcome> {
-        let n = self.shards.len();
-        let d = self.shards[0].schema().len();
-        let groups = self.shards[0].config().groups;
-        for (i, routed) in batch.iter().enumerate() {
-            if routed.shard as usize >= n {
-                return Err(StreamError::BadShard {
-                    shard: routed.shard,
-                    shards: n,
-                });
-            }
-            crate::engine::validate_tuple(&routed.tuple, d, i, groups)?;
-        }
+        let first = &self.shards[0];
+        validate_routed(batch, self.shards.len(), first.schema(), first.config())?;
 
         // Single-shard fleets skip routing entirely: the routed batch
-        // already is shard 0's batch, in arrival order, so after the
-        // validation pass above the only remaining router cost is one
-        // decisions copy into the input-order view.
-        if n == 1 {
-            let outcome = self.shards[0].ingest_routed_prevalidated(batch)?;
+        // already is shard 0's batch, in arrival order, so the only router
+        // cost left is one decisions copy into the input-order view.
+        if self.shards.len() == 1 {
+            let outcome = self.shards[0].ingest_prevalidated(batch)?;
             return Ok(ShardedOutcome {
                 decisions: outcome.decisions.clone(),
                 snapshot: self.snapshot(),
@@ -369,57 +448,24 @@ impl ShardedEngine {
             });
         }
 
-        // Scatter once: counting-sort the batch indices into shard-major
-        // order on recycled scratch (two linear passes, no per-tuple
-        // allocation), then gather each shard's borrowed sub-batch off its
-        // segment. The same segments scatter the decisions back to input
-        // order afterwards — no per-tuple position bookkeeping.
-        let route = &mut self.route;
-        route.route(n, batch.iter().map(|routed| routed.shard), batch.len());
-        let ordered: Vec<&StreamTuple> = route
-            .order
-            .iter()
-            .map(|&i| &batch[i as usize].tuple)
-            .collect();
-
-        // One scoped thread per non-empty shard — but only when the
-        // per-shard work amortises the thread spawn/join cost; tiny
-        // batches score faster serially than a thread can even start.
-        // Empty shards are always resolved inline (their ingest is a
-        // constant-time snapshot read). Serial vs parallel is
-        // unobservable in the results: shards are fully independent.
-        let parallel =
-            (0..n).map(|s| route.segment(s).len()).max().unwrap_or(0) >= MIN_PARALLEL_SHARD_BATCH;
-        let mut results: Vec<Option<Result<IngestOutcome>>> = (0..n).map(|_| None).collect();
-        rayon::scope(|s| {
-            for (shard, (engine, slot)) in
-                self.shards.iter_mut().zip(results.iter_mut()).enumerate()
-            {
-                let span = &route.offsets[shard..shard + 2];
-                let shard_batch = &ordered[span[0] as usize..span[1] as usize];
-                if parallel && !shard_batch.is_empty() {
-                    s.spawn(move |_| *slot = Some(engine.ingest_refs_prevalidated(shard_batch)));
-                } else {
-                    *slot = Some(engine.ingest_refs_prevalidated(shard_batch));
-                }
-            }
-        });
-
-        let mut outcomes = Vec::with_capacity(n);
-        for result in results {
-            outcomes.push(result.expect("every shard slot is filled")?);
-        }
-
-        let mut decisions = vec![0u8; batch.len()];
-        for (shard, outcome) in outcomes.iter().enumerate() {
-            for (&original, &decision) in route.segment(shard).iter().zip(&outcome.decisions) {
-                decisions[original as usize] = decision;
-            }
-        }
-
+        // Each shard borrows its segment's tuples through one recycled
+        // gather buffer. Empty shards ingest too: their outcome is a
+        // constant-time snapshot read.
+        let mut segment_tuples: Vec<&StreamTuple> = Vec::with_capacity(batch.len());
+        let (decisions, per_shard) = dispatch(
+            &mut self.shards,
+            &mut self.route,
+            batch,
+            |engine, segment| {
+                segment_tuples.clear();
+                segment_tuples.extend(segment.iter().map(|&i| &batch[i as usize].tuple));
+                engine.ingest_prevalidated(&segment_tuples)
+            },
+            |outcome| &outcome.decisions,
+        )?;
         Ok(ShardedOutcome {
             decisions,
-            per_shard: outcomes,
+            per_shard,
             snapshot: self.snapshot(),
         })
     }
@@ -434,37 +480,17 @@ impl ShardedEngine {
     /// ([`StreamError::BadShard`]), label range
     /// ([`StreamError::BadLabel`]), and per-shard id clocks
     /// ([`StreamError::FutureFeedback`]) — so a validation error joins
-    /// nothing anywhere.
+    /// nothing anywhere. After validation every shard joins its records,
+    /// and a per-shard failure surfaces as the first shard's error in
+    /// shard order.
     pub fn feedback(&mut self, feedback: &[ShardedFeedback]) -> Result<Vec<FeedbackOutcome>> {
-        let n = self.shards.len();
-        for routed in feedback {
-            let shard = routed.shard as usize;
-            if shard >= n {
-                return Err(StreamError::BadShard {
-                    shard: routed.shard,
-                    shards: n,
-                });
-            }
-            if routed.feedback.label >= 2 {
-                return Err(StreamError::BadLabel(routed.feedback.label));
-            }
-            let issued = self.shards[shard].ids_issued();
-            if routed.feedback.id >= issued {
-                return Err(StreamError::FutureFeedback {
-                    id: routed.feedback.id,
-                    issued,
-                });
-            }
-        }
-        let mut per_shard: Vec<Vec<LabelFeedback>> = vec![Vec::new(); n];
-        for routed in feedback {
-            per_shard[routed.shard as usize].push(routed.feedback);
-        }
-        self.shards
-            .iter_mut()
-            .zip(per_shard)
-            .map(|(engine, records)| engine.feedback(&records))
-            .collect()
+        let per_shard = split_feedback(&self.shards, StreamEngine::ids_issued, feedback)?;
+        all_or_first_error(
+            self.shards
+                .iter_mut()
+                .zip(per_shard)
+                .map(|(engine, records)| engine.feedback(&records)),
+        )
     }
 }
 
@@ -472,13 +498,13 @@ impl ShardedEngine {
 /// shard gets its *own* background monitor thread while all scoring stays
 /// on the caller's thread.
 ///
-/// This inverts the sync router's parallelism: [`ShardedEngine::ingest`]
-/// fans the whole score+monitor pipeline out to scoped threads and joins
-/// them before returning; here the cheap part (scoring, ~tens of ns per
-/// tuple) runs serially and the expensive part (window/detector updates,
-/// on-alert retrains) proceeds concurrently across shards *after* `ingest`
-/// has returned. A shard mid-retrain delays only its own queue — its
-/// neighbours' monitors, and everyone's decisions, keep flowing.
+/// Routing is the same serial partition-and-merge as
+/// [`ShardedEngine::ingest`]: the cheap part (scoring, ~tens of ns per
+/// tuple) runs in shard order on the caller's thread, and the expensive
+/// part (window/detector updates, on-alert retrains) proceeds concurrently
+/// across shards *after* `ingest` has returned. A shard mid-retrain delays
+/// only its own queue — its neighbours' monitors, and everyone's
+/// decisions, keep flowing.
 pub struct ShardedAsyncEngine {
     shards: Vec<AsyncEngine>,
     route: RouteScratch,
@@ -505,32 +531,24 @@ impl ShardedAsyncEngine {
         reference: &cf_data::Dataset,
         learner: cf_learners::LearnerKind,
         seed: u64,
-        config: crate::engine::StreamConfig,
+        config: StreamConfig,
         n_shards: usize,
         async_config: AsyncConfig,
     ) -> Result<Self> {
-        Ok(Self::from_sharded(
-            ShardedEngine::from_reference(reference, learner, seed, config, n_shards)?,
-            async_config,
-        ))
+        ShardedEngine::from_reference(reference, learner, seed, config, n_shards)
+            .map(|engine| Self::from_sharded(engine, async_config))
     }
 
     /// Assemble from independently bootstrapped engines, with the same
     /// fleet-coherence validation as [`ShardedEngine::from_engines`].
     pub fn from_engines(shards: Vec<StreamEngine>, async_config: AsyncConfig) -> Result<Self> {
-        Ok(Self::from_sharded(
-            ShardedEngine::from_engines(shards)?,
-            async_config,
-        ))
+        ShardedEngine::from_engines(shards).map(|engine| Self::from_sharded(engine, async_config))
     }
 
     /// Rebuild a fleet from a sharded checkpoint (same validation as
     /// [`ShardedEngine::restore`]).
     pub fn restore(ckpt: ShardedCheckpoint, async_config: AsyncConfig) -> Result<Self> {
-        Ok(Self::from_sharded(
-            ShardedEngine::restore(ckpt)?,
-            async_config,
-        ))
+        ShardedEngine::restore(ckpt).map(|engine| Self::from_sharded(engine, async_config))
     }
 
     /// Number of shards.
@@ -548,12 +566,7 @@ impl ShardedAsyncEngine {
     /// Borrow one shard's async engine (lag, drop counters, alert log,
     /// published snapshots).
     pub fn shard(&self, shard: u32) -> Result<&AsyncEngine> {
-        self.shards
-            .get(shard as usize)
-            .ok_or(StreamError::BadShard {
-                shard,
-                shards: self.shards.len(),
-            })
+        Ok(&self.shards[check_shard(shard, self.shards.len())?])
     }
 
     /// Install a telemetry sink on one shard's background monitor (FIFO
@@ -564,11 +577,8 @@ impl ShardedAsyncEngine {
     /// [`StreamError::BadShard`] for an out-of-range shard id;
     /// [`StreamError::Async`] when that shard's monitor thread is gone.
     pub fn set_sink(&mut self, shard: u32, sink: SharedSink) -> Result<()> {
-        let shards = self.shards.len();
-        self.shards
-            .get_mut(shard as usize)
-            .ok_or(StreamError::BadShard { shard, shards })?
-            .set_sink(sink)
+        let shard = check_shard(shard, self.shards.len())?;
+        self.shards[shard].set_sink(sink)
     }
 
     /// Register every shard's instruments on `registry` under a
@@ -625,64 +635,35 @@ impl ShardedAsyncEngine {
     /// returned — shards are independent, so a dead neighbour must not
     /// stop the rest of the fleet from ingesting.
     pub fn ingest(&mut self, batch: &[ShardedTuple]) -> Result<Vec<u8>> {
-        let n = self.shards.len();
-        let d = self.shards[0].schema().len();
-        let groups = self.shards[0].config().groups;
-        for (i, routed) in batch.iter().enumerate() {
-            if routed.shard as usize >= n {
-                return Err(StreamError::BadShard {
-                    shard: routed.shard,
-                    shards: n,
-                });
-            }
-            crate::engine::validate_tuple(&routed.tuple, d, i, groups)?;
-        }
+        let first = &self.shards[0];
+        validate_routed(batch, self.shards.len(), first.schema(), first.config())?;
 
         // Single-shard fleets: the batch is shard 0's batch in arrival
         // order; clone straight into the queue hand-off with no routing.
-        if n == 1 {
+        if self.shards.len() == 1 {
             return self.shards[0]
                 .ingest_prevalidated_owned(batch.iter().map(|r| r.tuple.clone()).collect());
         }
 
-        // Scatter once on recycled scratch (see [`RouteScratch`]), then
-        // clone each shard's sub-batch off its segment in one
-        // exactly-sized allocation (the queue hand-off owns its tuples).
-        let route = &mut self.route;
-        route.route(n, batch.iter().map(|routed| routed.shard), batch.len());
-
-        // Every shard attempts its sub-batch before any error is
-        // reported, so one dead shard cannot stop its neighbours from
-        // ingesting (mirrors the sync router's per-shard error contract).
-        let results: Vec<Result<Vec<u8>>> = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .map(|(shard, engine)| {
-                let segment = route.segment(shard);
+        // Each non-empty shard clones its segment in one exactly-sized
+        // allocation (the queue hand-off owns its tuples).
+        let (decisions, _) = dispatch(
+            &mut self.shards,
+            &mut self.route,
+            batch,
+            |engine, segment| {
                 if segment.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    engine.ingest_prevalidated_owned(
-                        segment
-                            .iter()
-                            .map(|&i| batch[i as usize].tuple.clone())
-                            .collect(),
-                    )
+                    return Ok(Vec::new());
                 }
-            })
-            .collect();
-        let mut per_shard_decisions = Vec::with_capacity(n);
-        for result in results {
-            per_shard_decisions.push(result?);
-        }
-
-        let mut decisions = vec![0u8; batch.len()];
-        for (shard, shard_decisions) in per_shard_decisions.iter().enumerate() {
-            for (&original, &decision) in route.segment(shard).iter().zip(shard_decisions) {
-                decisions[original as usize] = decision;
-            }
-        }
+                engine.ingest_prevalidated_owned(
+                    segment
+                        .iter()
+                        .map(|&i| batch[i as usize].tuple.clone())
+                        .collect(),
+                )
+            },
+            Vec::as_slice,
+        )?;
         Ok(decisions)
     }
 
@@ -699,43 +680,15 @@ impl ShardedAsyncEngine {
     /// follows the router's contract: every live shard still receives its
     /// records, and the first failing shard's error is returned.
     pub fn feedback(&mut self, feedback: &[ShardedFeedback]) -> Result<()> {
-        let n = self.shards.len();
-        for routed in feedback {
-            let shard = routed.shard as usize;
-            if shard >= n {
-                return Err(StreamError::BadShard {
-                    shard: routed.shard,
-                    shards: n,
-                });
-            }
-            if routed.feedback.label >= 2 {
-                return Err(StreamError::BadLabel(routed.feedback.label));
-            }
-            let issued = self.shards[shard].tuples_scored();
-            if routed.feedback.id >= issued {
-                return Err(StreamError::FutureFeedback {
-                    id: routed.feedback.id,
-                    issued,
-                });
-            }
-        }
-        let mut per_shard: Vec<Vec<LabelFeedback>> = vec![Vec::new(); n];
-        for routed in feedback {
-            per_shard[routed.shard as usize].push(routed.feedback);
-        }
-        let mut first_error = None;
-        for (engine, records) in self.shards.iter_mut().zip(per_shard) {
-            if records.is_empty() {
-                continue;
-            }
-            if let Err(e) = engine.feedback(&records) {
-                first_error.get_or_insert(e);
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let per_shard = split_feedback(&self.shards, AsyncEngine::tuples_scored, feedback)?;
+        all_or_first_error(
+            self.shards
+                .iter_mut()
+                .zip(per_shard)
+                .filter(|(_, records)| !records.is_empty())
+                .map(|(engine, records)| engine.feedback(&records)),
+        )?;
+        Ok(())
     }
 
     /// Barrier over every shard: returns once all queues are drained and
@@ -751,13 +704,10 @@ impl ShardedAsyncEngine {
     /// latest published state (exact after a [`ShardedAsyncEngine::flush`];
     /// otherwise each shard lags by at most its queue backlog).
     pub fn merged_counts(&self) -> Vec<GroupCounts> {
-        let mut merged = vec![GroupCounts::default(); self.shards[0].config().groups];
-        for engine in &self.shards {
-            for (cell, counts) in merged.iter_mut().zip(engine.window_counts()) {
-                cell.merge(&counts);
-            }
-        }
-        merged
+        merge_counts(
+            self.shards[0].config().groups,
+            self.shards.iter().map(AsyncEngine::window_counts),
+        )
     }
 
     /// The cross-shard aggregate fairness reading over the merged
@@ -795,14 +745,7 @@ impl ShardedAsyncEngine {
     /// [`StreamError::Async`] when a monitor thread is gone.
     pub fn checkpoint(&mut self) -> Result<ShardedCheckpoint> {
         self.flush()?;
-        Ok(ShardedCheckpoint {
-            version: crate::checkpoint::CHECKPOINT_VERSION,
-            shards: self
-                .shards
-                .iter_mut()
-                .map(AsyncEngine::checkpoint)
-                .collect::<Result<Vec<_>>>()?,
-        })
+        fleet_checkpoint(self.shards.iter_mut().map(AsyncEngine::checkpoint))
     }
 
     /// Shut every shard's pipeline down and reunite the fleet into a
@@ -916,6 +859,111 @@ mod tests {
             batch[41].tuple.group = 1;
             assert_eq!(engine.ingest(&batch).unwrap().decisions.len(), 60);
             assert_eq!(engine.tuples_seen(), 60);
+        }
+    }
+
+    /// One invalid call against a three-shard fleet of either router.
+    enum Rejected {
+        /// Runs on a fresh fleet.
+        Ingest(Vec<ShardedTuple>),
+        /// Runs after an unlabeled warm-up batch, so ids `0..10` are
+        /// issued on every shard and the leading record is valid.
+        Feedback(Vec<ShardedFeedback>),
+    }
+
+    /// A named invalid call and the error it must be rejected with.
+    type RejectionCase = (&'static str, Rejected, fn(&StreamError) -> bool);
+
+    /// Every case puts its invalid entry behind valid ones, so whole-batch
+    /// rejection is what is under test.
+    fn rejection_table() -> Vec<RejectionCase> {
+        let batch = |edit: fn(&mut ShardedTuple)| {
+            let mut batch = routed_batch(3, 60, 5);
+            edit(&mut batch[41]);
+            Rejected::Ingest(batch)
+        };
+        let feedback = |id: u64, label: u8| {
+            Rejected::Feedback(vec![
+                ShardedFeedback {
+                    shard: 0,
+                    feedback: LabelFeedback { id: 0, label: 1 },
+                },
+                ShardedFeedback {
+                    shard: 2,
+                    feedback: LabelFeedback { id, label },
+                },
+            ])
+        };
+        vec![
+            ("bad shard", batch(|t| t.shard = 3), |e| {
+                matches!(
+                    e,
+                    StreamError::BadShard {
+                        shard: 3,
+                        shards: 3
+                    }
+                )
+            }),
+            ("wrong width", batch(|t| t.tuple.features.push(0.0)), |e| {
+                matches!(e, StreamError::Schema(_))
+            }),
+            ("bad group", batch(|t| t.tuple.group = 7), |e| {
+                matches!(e, StreamError::BadGroup(7))
+            }),
+            ("bad label", batch(|t| t.tuple.label = Some(2)), |e| {
+                matches!(e, StreamError::BadLabel(2))
+            }),
+            ("future feedback id", feedback(50, 1), |e| {
+                matches!(e, StreamError::FutureFeedback { id: 50, issued: 10 })
+            }),
+            ("bad feedback label", feedback(3, 2), |e| {
+                matches!(e, StreamError::BadLabel(2))
+            }),
+        ]
+    }
+
+    #[test]
+    fn both_routers_reject_invalid_batches_whole() {
+        for (case, call, rejects) in rejection_table() {
+            let mut engine = sharded(3);
+            if let Rejected::Feedback(_) = call {
+                let mut warm = routed_batch(3, 30, 9);
+                warm.iter_mut().for_each(|r| r.tuple.label = None);
+                engine.ingest(&warm).unwrap();
+            }
+            let seen = if matches!(call, Rejected::Ingest(_)) {
+                0
+            } else {
+                10
+            };
+
+            let err = match &call {
+                Rejected::Ingest(batch) => engine.ingest(batch).unwrap_err(),
+                Rejected::Feedback(records) => engine.feedback(records).unwrap_err(),
+            };
+            assert!(rejects(&err), "sync router, {case}: {err:?}");
+            for s in 0..3 {
+                let shard = engine.shard(s).unwrap();
+                assert_eq!(shard.tuples_seen(), seen, "sync router, {case}: shard {s}");
+                assert_eq!(shard.join_stats(), crate::JoinStats::default());
+            }
+
+            let mut engine = ShardedAsyncEngine::from_sharded(engine, AsyncConfig::default());
+            let err = match &call {
+                Rejected::Ingest(batch) => engine.ingest(batch).unwrap_err(),
+                Rejected::Feedback(records) => engine.feedback(records).unwrap_err(),
+            };
+            assert!(rejects(&err), "async router, {case}: {err:?}");
+            engine.flush().unwrap();
+            for s in 0..3 {
+                let shard = engine.shard(s).unwrap();
+                assert_eq!(
+                    shard.tuples_scored(),
+                    seen,
+                    "async router, {case}: shard {s}"
+                );
+                assert_eq!(shard.join_stats(), crate::JoinStats::default());
+            }
         }
     }
 

@@ -220,6 +220,15 @@ pub struct StreamMetrics {
 }
 
 impl StreamMetrics {
+    /// Record one served batch: its latency in fractional microseconds (a
+    /// sub-µs ingest reads as such, not 0) and its size. Every engine's
+    /// serving path records through here, so the units cannot drift apart.
+    pub(crate) fn record_ingest(&self, elapsed: std::time::Duration, tuples: u64) {
+        self.ingest_latency_us.observe(elapsed.as_secs_f64() * 1e6);
+        self.ingest_batches.inc();
+        self.ingest_tuples.add(tuples);
+    }
+
     /// Register (or look up) the unlabeled instrument set.
     pub fn register(registry: &MetricsRegistry) -> Self {
         Self::register_shard(registry, None)
@@ -398,6 +407,20 @@ mod tests {
         assert_eq!(e.explanation.cell, "group=1/decision");
         assert!(e.explanation.summary.contains("13.5"));
         assert_eq!(e.at_tuple, 321);
+    }
+
+    #[test]
+    fn ingest_latency_keeps_sub_microsecond_resolution() {
+        let registry = MetricsRegistry::new();
+        let metrics = StreamMetrics::register(&registry);
+        metrics.record_ingest(std::time::Duration::from_nanos(400), 3);
+        assert!(
+            (metrics.ingest_latency_us.sum() - 0.4).abs() < 1e-12,
+            "a 400 ns ingest records 0.4 us, got {}",
+            metrics.ingest_latency_us.sum()
+        );
+        assert_eq!(metrics.ingest_batches.get(), 1);
+        assert_eq!(metrics.ingest_tuples.get(), 3);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! standalone [`StreamEngine`]s by hand — byte-identical per-shard
 //! decisions, alerts, counters, and clocks — and the cross-shard aggregate
 //! snapshot must equal recomputing one from the summed per-shard counters.
-//! Shard counts of 1..=4 vary the number of scoped ingest threads, so the
-//! properties also pin down that parallel ingestion is deterministic
-//! regardless of thread count.
+//! Shard counts of 1..=4 cover both the single-shard fast path and the
+//! routed multi-shard path.
 
 use cf_datasets::stream::{DriftStream, DriftStreamSpec};
 use cf_learners::LearnerKind;
@@ -58,9 +57,8 @@ proptest! {
     fn sharded_engine_is_observationally_identical_to_standalone_engines(
         n_shards in 1usize..=4,
         n_batches in 1usize..=3,
-        // Spans the router's serial/parallel dispatch threshold (512 per
-        // shard), so both paths are pinned to the same observable
-        // behaviour.
+        // From small batches, where some shards get only a few tuples,
+        // to per-shard segments of several hundred.
         batch_size in 40usize..2_500,
         stream_seed in 0u64..1_000,
         route_salt in 0u64..1_000,
