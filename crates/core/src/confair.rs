@@ -395,6 +395,21 @@ impl Intervention for ConFair {
             self.config.density_filter,
             &self.config.learn_opts,
         )?;
+        if let AlphaMode::Auto { grid } = &self.config.alpha {
+            // Calibrating with the deployed learner already trained the
+            // model a refit at the chosen α would: serve that one.
+            if self.config.calibration_learner.unwrap_or(learner) == learner {
+                let (_, predictor) = tuning::search_alpha(
+                    &profile,
+                    train,
+                    validation,
+                    learner,
+                    self.config.target,
+                    grid,
+                )?;
+                return Ok(Box::new(predictor));
+            }
+        }
         let (alpha_u, alpha_w) = self.resolve_alpha(&profile, train, validation, learner)?;
         let weights = profile.weights(alpha_u, alpha_w);
         let predictor = SingleModelPredictor::fit(train, learner, Some(&weights))?;
@@ -580,6 +595,55 @@ mod tests {
             .resolve_alpha(&profile, &train, &val, LearnerKind::Logistic)
             .unwrap();
         assert_eq!((au, aw), (2.0, 1.0));
+    }
+
+    /// ConFair's predictor and a refit of `deployed` at the α that
+    /// `calibration` tunes to agree in every margin bit on the test split.
+    fn assert_serves_refit(deployed: LearnerKind, calibration: Option<LearnerKind>) {
+        let (train, val, test) = toy_split();
+        let confair = ConFair::new(ConFairConfig {
+            calibration_learner: calibration,
+            ..ConFairConfig::default()
+        });
+        let served = confair.train(&train, &val, deployed).unwrap();
+        let profile = build_profile(
+            &train,
+            confair.config.target,
+            confair.config.density_filter,
+            &confair.config.learn_opts,
+        )
+        .unwrap();
+        let (au, aw) = confair
+            .resolve_alpha(&profile, &train, &val, deployed)
+            .unwrap();
+        let refit =
+            SingleModelPredictor::fit(&train, deployed, Some(&profile.weights(au, aw))).unwrap();
+        let rows = test.numeric_matrix(None);
+        let bits = |p: &dyn Predictor| -> Vec<u64> {
+            let margins = p.predict_margin_rows(&rows).unwrap();
+            margins.iter().map(|m| m.to_bits()).collect()
+        };
+        assert_eq!(bits(&*served), bits(&refit));
+        assert_eq!(
+            served.predict(&test).unwrap(),
+            refit.predict(&test).unwrap()
+        );
+        let kind = match served.state().unwrap().model() {
+            cf_learners::ModelState::Logistic(_) => LearnerKind::Logistic,
+            cf_learners::ModelState::Gbt(_) => LearnerKind::Gbt,
+        };
+        assert_eq!(kind, deployed, "the deployed learner is served");
+    }
+
+    #[test]
+    fn tuned_model_is_served_bit_identical_to_a_refit() {
+        assert_serves_refit(LearnerKind::Logistic, None);
+        assert_serves_refit(LearnerKind::Gbt, Some(LearnerKind::Gbt));
+    }
+
+    #[test]
+    fn cross_model_calibration_refits_the_deployed_learner() {
+        assert_serves_refit(LearnerKind::Gbt, Some(LearnerKind::Logistic));
     }
 
     #[test]

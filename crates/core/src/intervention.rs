@@ -122,6 +122,11 @@ impl SingleModelPredictor {
         Ok(Self { encoding, model })
     }
 
+    /// Wrap a model already fitted on `encoding`'s features.
+    pub(crate) fn from_parts(encoding: FeatureEncoding, model: Box<dyn Learner>) -> Self {
+        Self { encoding, model }
+    }
+
     /// Probability of the positive class for every tuple.
     pub fn predict_proba(&self, data: &Dataset) -> Result<Vec<f64>> {
         let x = self.encoding.transform(data)?;

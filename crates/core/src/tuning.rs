@@ -8,11 +8,11 @@
 
 use crate::{
     confair::{FairnessTarget, WeightProfile},
-    intervention::{Predictor, SingleModelPredictor},
+    intervention::SingleModelPredictor,
     Result,
 };
-use cf_data::Dataset;
-use cf_learners::LearnerKind;
+use cf_data::{encode::labels_as_f64, Dataset, FeatureEncoding};
+use cf_learners::{Learner, LearnerKind};
 use cf_metrics::GroupConfusion;
 
 /// Outcome of the α search.
@@ -53,7 +53,8 @@ pub(crate) fn derived_alpha_w(target: FairnessTarget, alpha_u: f64) -> f64 {
 /// Selection: smallest gap; ties broken by higher balanced accuracy.
 /// Degenerate models (single-class output) are admissible only if nothing
 /// else is — ConFair prefers keeping the model useful. Early exit once the
-/// gap has worsened on two consecutive candidates after some improvement
+/// gap has clearly worsened (by more than 0.03 over the best so far) on
+/// three candidates since the last improvement, consecutive or not
 /// (exploiting the monotone response).
 pub fn tune_alpha(
     profile: &WeightProfile,
@@ -63,8 +64,26 @@ pub fn tune_alpha(
     target: FairnessTarget,
     grid: &[f64],
 ) -> Result<TuneResult> {
+    Ok(search_alpha(profile, train, validation, learner, target, grid)?.0)
+}
+
+/// [`tune_alpha`], also returning the model it trained at the chosen
+/// degree — bit-identical to refitting `learner` on `train` with the
+/// chosen weights, so a caller deploying `learner` need not refit.
+pub(crate) fn search_alpha(
+    profile: &WeightProfile,
+    train: &Dataset,
+    validation: &Dataset,
+    learner: LearnerKind,
+    target: FairnessTarget,
+    grid: &[f64],
+) -> Result<(TuneResult, SingleModelPredictor)> {
     assert!(!grid.is_empty(), "alpha grid cannot be empty");
-    let mut best: Option<TuneResult> = None;
+    // Only the weights change between candidates: encode both splits once.
+    let (encoding, x) = FeatureEncoding::fit_transform(train);
+    let y = labels_as_f64(train);
+    let x_val = encoding.transform(validation)?;
+    let mut best: Option<(TuneResult, Box<dyn Learner>)> = None;
     let mut best_is_degenerate = true;
     let mut worsened_streak = 0usize;
     let mut models_trained = 0usize;
@@ -72,9 +91,10 @@ pub fn tune_alpha(
     for &alpha_u in grid {
         let alpha_w = derived_alpha_w(target, alpha_u);
         let weights = profile.weights(alpha_u, alpha_w);
-        let predictor = SingleModelPredictor::fit(train, learner, Some(&weights))?;
+        let mut model = learner.build();
+        model.fit(&x, &y, Some(&weights))?;
         models_trained += 1;
-        let preds = predictor.predict(validation)?;
+        let preds = model.predict(&x_val)?;
         let gc = GroupConfusion::compute(validation.labels(), &preds, validation.groups());
         let gap = fairness_gap(target, &gc);
         let candidate = TuneResult {
@@ -88,7 +108,7 @@ pub fn tune_alpha(
 
         let better = match &best {
             None => true,
-            Some(b) => {
+            Some((b, _)) => {
                 if degenerate != best_is_degenerate {
                     // Non-degenerate beats degenerate outright.
                     !degenerate
@@ -100,14 +120,17 @@ pub fn tune_alpha(
             }
         };
         if better {
-            best = Some(candidate);
+            best = Some((candidate, model));
             best_is_degenerate = degenerate;
             worsened_streak = 0;
         } else {
             // Count only *clear* worsening toward the early stop: the
             // response is monotone up to split noise, and small-α candidates
             // can jitter without meaning the optimum has been crossed.
-            if best.as_ref().is_some_and(|b| candidate.gap > b.gap + 0.03) {
+            if best
+                .as_ref()
+                .is_some_and(|(b, _)| candidate.gap > b.gap + 0.03)
+            {
                 worsened_streak += 1;
             }
             if worsened_streak >= 3 {
@@ -116,9 +139,9 @@ pub fn tune_alpha(
         }
     }
 
-    let mut result = best.expect("grid is non-empty");
+    let (mut result, model) = best.expect("grid is non-empty");
     result.models_trained = models_trained;
-    Ok(result)
+    Ok((result, SingleModelPredictor::from_parts(encoding, model)))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! equivalent to duplication — the property reweighing interventions need.
 
 use crate::{
-    tree::{FlatTree, RegressionTree, TreeParams},
+    tree::{FeatureOrder, FlatTree, RegressionTree, TreeParams},
     validate_fit_inputs, LearnError, Learner, Result,
 };
 use cf_linalg::Matrix;
@@ -303,6 +303,8 @@ impl Learner for Gbt {
             min_child_weight: self.config.min_child_weight,
         };
 
+        // Every round's tree splits on the same rows: sort them once.
+        let order = FeatureOrder::new(x);
         let mut margins = vec![self.base_score; n];
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
@@ -328,9 +330,9 @@ impl Learner for Gbt {
                     g2[i] = grad[i];
                     h2[i] = hess[i];
                 }
-                RegressionTree::fit(x, &g2, &h2, &tree_params)
+                RegressionTree::fit_presorted(&order, &g2, &h2, &tree_params)
             } else {
-                RegressionTree::fit(x, &grad, &hess, &tree_params)
+                RegressionTree::fit_presorted(&order, &grad, &hess, &tree_params)
             };
 
             // Early stop: a single-leaf tree with ~zero weight adds nothing.

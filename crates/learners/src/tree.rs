@@ -1,14 +1,21 @@
 //! The regression tree used inside gradient boosting.
 //!
 //! Implements XGBoost's exact greedy algorithm: at every node, each feature's
-//! values are sorted and scanned once, accumulating gradient/hessian sums to
-//! score candidate splits with the second-order gain
+//! values are scanned once in sorted order, accumulating gradient/hessian
+//! sums to score candidate splits with the second-order gain
 //!
 //! ```text
 //! gain = ½ [ G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) ] − γ
 //! ```
 //!
 //! Leaf weights are `−G/(H+λ)`; shrinkage is applied by the ensemble.
+//!
+//! Features are sorted once (a `FeatureOrder`, shared by every tree of
+//! an ensemble), not once per node: each split stably partitions its
+//! per-feature sorted row lists into the children's, which is exactly the
+//! order a stable per-node sort of the children's rows would give (by
+//! value, ties in ascending row order), so every node scans the same
+//! sequence and picks the same split.
 
 use cf_linalg::Matrix;
 
@@ -63,12 +70,37 @@ impl RegressionTree {
     /// # Panics
     /// Panics if buffer lengths disagree (callers validate upstream).
     pub fn fit(x: &Matrix, grad: &[f64], hess: &[f64], params: &TreeParams) -> Self {
-        assert_eq!(x.rows(), grad.len());
-        assert_eq!(x.rows(), hess.len());
-        let mut nodes = Vec::new();
-        let rows: Vec<usize> = (0..x.rows()).collect();
-        let root = build(x, grad, hess, rows, params.max_depth, params, &mut nodes);
-        Self { nodes, root }
+        Self::fit_presorted(&FeatureOrder::new(x), grad, hess, params)
+    }
+
+    /// [`Self::fit`] on rows whose features are already sorted.
+    ///
+    /// # Panics
+    /// Panics if buffer lengths disagree with the order's row count.
+    pub(crate) fn fit_presorted(
+        order: &FeatureOrder,
+        grad: &[f64],
+        hess: &[f64],
+        params: &TreeParams,
+    ) -> Self {
+        assert_eq!(order.n, grad.len());
+        assert_eq!(order.n, hess.len());
+        let mut builder = Builder {
+            order,
+            grad,
+            hess,
+            params,
+            rows: (0..order.n as u32).collect(),
+            sorted: order.sorted.clone(),
+            goes_left: vec![false; order.n],
+            scratch: Vec::with_capacity(order.n),
+            nodes: Vec::new(),
+        };
+        let root = builder.build(0, order.n, params.max_depth);
+        Self {
+            nodes: builder.nodes,
+            root,
+        }
     }
 
     /// The raw leaf weight for one feature row.
@@ -587,81 +619,170 @@ fn leaf_weight(g: f64, h: f64, lambda: f64) -> f64 {
     -g / (h + lambda)
 }
 
-fn build(
-    x: &Matrix,
-    grad: &[f64],
-    hess: &[f64],
-    rows: Vec<usize>,
-    depth_left: usize,
-    params: &TreeParams,
-    nodes: &mut Vec<TreeNode>,
-) -> usize {
-    let g_total: f64 = rows.iter().map(|&i| grad[i]).sum();
-    let h_total: f64 = rows.iter().map(|&i| hess[i]).sum();
+/// Every feature's rows sorted by value, ties in ascending row order:
+/// the exact-greedy presort, computed once per ensemble fit.
+pub(crate) struct FeatureOrder {
+    /// Row count.
+    n: usize,
+    /// The feature matrix column-major: feature `f`'s values are
+    /// `columns[f * n..(f + 1) * n]`, so a node's scan gathers from one
+    /// contiguous column.
+    columns: Vec<f64>,
+    /// Feature `f`'s rows in value order: `sorted[f * n..(f + 1) * n]`.
+    sorted: Vec<u32>,
+}
 
-    let make_leaf = |nodes: &mut Vec<TreeNode>| {
-        nodes.push(TreeNode::Leaf {
-            weight: leaf_weight(g_total, h_total, params.lambda),
-        });
-        nodes.len() - 1
-    };
-
-    if depth_left == 0 || rows.len() < 2 {
-        return make_leaf(nodes);
+impl FeatureOrder {
+    /// Sort every feature of `x`.
+    ///
+    /// # Panics
+    /// Panics on a NaN feature value, as the per-node sort did, and on
+    /// more rows than a `u32` row index holds.
+    pub(crate) fn new(x: &Matrix) -> Self {
+        let n = x.rows();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "{n} rows exceed the u32 row index"
+        );
+        let columns = x.transpose().into_vec();
+        let mut sorted = Vec::with_capacity(columns.len());
+        for col in columns.chunks_exact(n.max(1)) {
+            let start = sorted.len();
+            sorted.extend(0..n as u32);
+            // Stable: equal values keep ascending row order.
+            sorted[start..].sort_by(|&a, &b| {
+                col[a as usize]
+                    .partial_cmp(&col[b as usize])
+                    .expect("NaN feature value")
+            });
+        }
+        Self { n, columns, sorted }
     }
 
-    // Exact greedy: scan every feature's sorted values for the best split.
-    let parent_score = g_total * g_total / (h_total + params.lambda);
-    let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-    let mut sorted: Vec<(f64, f64, f64)> = Vec::with_capacity(rows.len());
-    for feature in 0..x.cols() {
-        sorted.clear();
-        sorted.extend(rows.iter().map(|&i| (x[(i, feature)], grad[i], hess[i])));
-        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN feature value"));
+    fn column(&self, f: usize) -> &[f64] {
+        &self.columns[f * self.n..(f + 1) * self.n]
+    }
 
-        let mut g_left = 0.0;
-        let mut h_left = 0.0;
-        for k in 0..sorted.len() - 1 {
-            g_left += sorted[k].1;
-            h_left += sorted[k].2;
-            // Can't split between equal values.
-            if sorted[k].0 == sorted[k + 1].0 {
-                continue;
-            }
-            let h_right = h_total - h_left;
-            if h_left < params.min_child_weight || h_right < params.min_child_weight {
-                continue;
-            }
-            let g_right = g_total - g_left;
-            let gain = 0.5
-                * (g_left * g_left / (h_left + params.lambda)
-                    + g_right * g_right / (h_right + params.lambda)
-                    - parent_score)
-                - params.gamma;
-            if gain > best.map_or(0.0, |b| b.0) {
-                let threshold = 0.5 * (sorted[k].0 + sorted[k + 1].0);
-                best = Some((gain, feature, threshold));
+    fn features(&self) -> usize {
+        self.columns.len() / self.n.max(1)
+    }
+}
+
+/// One tree's growth state. A node owns the range `lo..hi` of `rows` (its
+/// rows, ascending) and of every feature's segment of `sorted` (its rows
+/// in that feature's value order); a split stably partitions each range
+/// into the children's two subranges.
+struct Builder<'a> {
+    order: &'a FeatureOrder,
+    grad: &'a [f64],
+    hess: &'a [f64],
+    params: &'a TreeParams,
+    rows: Vec<u32>,
+    sorted: Vec<u32>,
+    /// Per row: does the split being applied send it left.
+    goes_left: Vec<bool>,
+    scratch: Vec<u32>,
+    nodes: Vec<TreeNode>,
+}
+
+impl Builder<'_> {
+    fn build(&mut self, lo: usize, hi: usize, depth_left: usize) -> usize {
+        let (grad, hess, params) = (self.grad, self.hess, self.params);
+        let rows = &self.rows[lo..hi];
+        let g_total: f64 = rows.iter().map(|&i| grad[i as usize]).sum();
+        let h_total: f64 = rows.iter().map(|&i| hess[i as usize]).sum();
+
+        let make_leaf = |nodes: &mut Vec<TreeNode>| {
+            nodes.push(TreeNode::Leaf {
+                weight: leaf_weight(g_total, h_total, params.lambda),
+            });
+            nodes.len() - 1
+        };
+
+        if depth_left == 0 || rows.len() < 2 {
+            return make_leaf(&mut self.nodes);
+        }
+
+        // Exact greedy: scan every feature's sorted values for the best split.
+        let n = self.order.n;
+        let parent_score = g_total * g_total / (h_total + params.lambda);
+        let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
+        for feature in 0..self.order.features() {
+            let col = self.order.column(feature);
+            let sorted = &self.sorted[feature * n + lo..feature * n + hi];
+            let mut g_left = 0.0;
+            let mut h_left = 0.0;
+            for pair in sorted.windows(2) {
+                let (i, next) = (pair[0] as usize, pair[1] as usize);
+                g_left += grad[i];
+                h_left += hess[i];
+                // Can't split between equal values.
+                if col[i] == col[next] {
+                    continue;
+                }
+                let h_right = h_total - h_left;
+                if h_left < params.min_child_weight || h_right < params.min_child_weight {
+                    continue;
+                }
+                let g_right = g_total - g_left;
+                let gain = 0.5
+                    * (g_left * g_left / (h_left + params.lambda)
+                        + g_right * g_right / (h_right + params.lambda)
+                        - parent_score)
+                    - params.gamma;
+                if gain > best.map_or(0.0, |b| b.0) {
+                    let threshold = 0.5 * (col[i] + col[next]);
+                    best = Some((gain, feature, threshold));
+                }
             }
         }
+
+        let Some((_, feature, threshold)) = best else {
+            return make_leaf(&mut self.nodes);
+        };
+
+        let col = self.order.column(feature);
+        for &i in &self.rows[lo..hi] {
+            self.goes_left[i as usize] = col[i as usize] < threshold;
+        }
+        let mid = lo + stable_partition(&mut self.rows[lo..hi], &self.goes_left, &mut self.scratch);
+        debug_assert!(lo < mid && mid < hi);
+        // Children at depth 0 are leaves and never scan.
+        if depth_left > 1 {
+            for f in 0..self.order.features() {
+                let seg = &mut self.sorted[f * n + lo..f * n + hi];
+                stable_partition(seg, &self.goes_left, &mut self.scratch);
+            }
+        }
+
+        let left = self.build(lo, mid, depth_left - 1);
+        let right = self.build(mid, hi, depth_left - 1);
+        self.nodes.push(TreeNode::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        });
+        self.nodes.len() - 1
     }
+}
 
-    let Some((_, feature, threshold)) = best else {
-        return make_leaf(nodes);
-    };
-
-    let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-        rows.into_iter().partition(|&i| x[(i, feature)] < threshold);
-    debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
-
-    let left = build(x, grad, hess, left_rows, depth_left - 1, params, nodes);
-    let right = build(x, grad, hess, right_rows, depth_left - 1, params, nodes);
-    nodes.push(TreeNode::Split {
-        feature,
-        threshold,
-        left,
-        right,
-    });
-    nodes.len() - 1
+/// Move the rows that go left to the front of `seg`, both sides keeping
+/// their relative order; returns how many go left.
+fn stable_partition(seg: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usize {
+    scratch.clear();
+    let mut left = 0;
+    for k in 0..seg.len() {
+        let i = seg[k];
+        if goes_left[i as usize] {
+            seg[left] = i;
+            left += 1;
+        } else {
+            scratch.push(i);
+        }
+    }
+    seg[left..].copy_from_slice(scratch);
+    left
 }
 
 #[cfg(test)]

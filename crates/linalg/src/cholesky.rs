@@ -22,23 +22,26 @@ impl Cholesky {
                 got: format!("{}", b.len()),
             });
         }
-        // Forward: L y = b
+        // Forward: L y = b, over row i of L.
+        let l = self.l.as_slice();
         let mut y = vec![0.0; n];
         for i in 0..n {
+            let li = &l[i * n..(i + 1) * n];
             let mut s = b[i];
-            for (j, &yj) in y.iter().enumerate().take(i) {
-                s -= self.l[(i, j)] * yj;
+            for (&lij, &yj) in li[..i].iter().zip(&y[..i]) {
+                s -= lij * yj;
             }
-            y[i] = s / self.l[(i, i)];
+            y[i] = s / li[i];
         }
-        // Backward: Lᵀ x = y
+        // Backward: Lᵀ x = y, over column i of L (row i of Lᵀ).
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
             let mut s = y[i];
-            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                s -= self.l[(j, i)] * xj;
+            let col_i = l[i * n + i..].iter().step_by(n).skip(1);
+            for (&lji, &xj) in col_i.zip(&x[i + 1..]) {
+                s -= lji * xj;
             }
-            x[i] = s / self.l[(i, i)];
+            x[i] = s / l[i * n + i];
         }
         Ok(x)
     }
@@ -63,20 +66,29 @@ pub fn cholesky(a: &Matrix) -> Result<Cholesky> {
     }
     let jitter = 1e-10 * a.max_abs().max(1.0);
     let mut l = Matrix::zeros(n, n);
+    let data = l.as_mut_slice();
     for i in 0..n {
+        // Rows above i are final; row i fills left to right, each entry
+        // a dot of the two rows' prefixes taken k-ascending.
+        let (done, rest) = data.split_at_mut(i * n);
+        let li = &mut rest[..n];
         for j in 0..=i {
             let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
-            }
             if i == j {
+                for &lik in &li[..j] {
+                    s -= lik * lik;
+                }
                 let d = s + jitter;
                 if d <= 0.0 {
                     return Err(LinalgError::NotPositiveDefinite);
                 }
-                l[(i, i)] = d.sqrt();
+                li[i] = d.sqrt();
             } else {
-                l[(i, j)] = s / l[(j, j)];
+                let lj = &done[j * n..(j + 1) * n];
+                for (&lik, &ljk) in li[..j].iter().zip(&lj[..j]) {
+                    s -= lik * ljk;
+                }
+                li[j] = s / lj[j];
             }
         }
     }
